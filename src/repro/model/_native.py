@@ -11,19 +11,27 @@ numpy pays a Python-level restart per weight update.
 Compilation is lazy and cached: the first call compiles the embedded source
 with ``cc -O2 -shared -fPIC`` into a content-addressed ``.so`` under
 ``REPRO_NATIVE_DIR`` (default: ``_build/`` next to this file), so every
-later process — including forked pool workers — just ``dlopen``s it.  No
-compiler, a failed compile, or ``REPRO_NATIVE=off`` all degrade to the
-numpy kernels; nothing in the system *requires* the fast path.
+later process just ``dlopen``s it.  The first load is serialized by a lock:
+concurrent first callers (ensemble members fitting on threads, the serve
+daemon's executor threads) all wait for the one attempt and see its
+result.  No compiler, a failed compile, or ``REPRO_NATIVE=off`` all degrade
+to the numpy kernels — nothing in the system *requires* the fast path — and
+:func:`warn_unavailable` reports why, once per process.
+
+``ctypes`` releases the GIL for the duration of every foreign call, so
+threads running these routines on different weight arrays run in parallel.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +41,32 @@ from ..telemetry import get_logger, log_event
 logger = get_logger("repro.model.native")
 
 #: bump when the C source changes incompatibly; part of the cache key
-NATIVE_VERSION = 1
+NATIVE_VERSION = 2
 
 _SOURCE = r"""
 #include <stdint.h>
 
+/* rows ahead of the current sample whose index row is prefetched */
+#define PREFETCH_AHEAD 8
+
 /* One online epoch of the perceptron threshold rule, sequential over
  * `order`, exactly like kernels.fit_epoch_reference: gather the margin,
  * update on target*margin <= theta (add target once per index occurrence,
- * then clamp the touched entries).  Returns the number of updates. */
+ * then clamp the touched entries).  Returns the number of updates.
+ *
+ * `order` is a random permutation, so every row fetch would miss cache;
+ * the first and last cache line of the row PREFETCH_AHEAD samples ahead
+ * are requested early.  A prefetch is only a hint: results are unchanged. */
 int64_t fit_epoch(int32_t *w, const int32_t *flat, const int64_t *order,
                   const int64_t *y, int64_t n, int64_t f, double theta,
                   int32_t clamp) {
     int64_t updates = 0;
     for (int64_t s = 0; s < n; s++) {
+        if (s + PREFETCH_AHEAD < n) {
+            const int32_t *ahead = flat + order[s + PREFETCH_AHEAD] * f;
+            __builtin_prefetch(ahead, 0, 1);
+            __builtin_prefetch(ahead + f - 1, 0, 1);
+        }
         const int64_t i = order[s];
         const int32_t *row = flat + i * f;
         int64_t margin = 0;
@@ -113,7 +133,12 @@ void margins_from_bins(const int32_t *w, const uint8_t *bins,
 """
 
 _lib: ctypes.CDLL | None = None
+#: set only after the first load attempt has finished, under ``_load_lock``
 _load_attempted = False
+_load_lock = threading.Lock()
+#: why the last load attempt produced no library (None when it did)
+_unavailable_reason: str | None = None
+_warned = False
 
 
 def _cache_dir() -> Path:
@@ -130,13 +155,14 @@ def _compiler() -> str | None:
     return None
 
 
-def _compile(so_path: Path) -> bool:
-    """Compile the embedded source to ``so_path`` atomically; False on any
-    failure (missing compiler, bad flags, read-only filesystem)."""
+def _compile(so_path: Path) -> str | None:
+    """Compile the embedded source to ``so_path`` atomically; returns None
+    on success, else the reason (missing compiler, bad flags, read-only
+    filesystem)."""
     cc = _compiler()
     if cc is None:
         log_event(logger, "native.no_compiler")
-        return False
+        return "no C compiler"
     try:
         so_path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
@@ -149,18 +175,14 @@ def _compile(so_path: Path) -> bool:
                 timeout=120,
             )
             if proc.returncode != 0:
-                log_event(
-                    logger,
-                    "native.compile_failed",
-                    cc=cc,
-                    stderr=proc.stderr.decode(errors="replace")[-200:],
-                )
-                return False
+                stderr = proc.stderr.decode(errors="replace")[-200:]
+                log_event(logger, "native.compile_failed", cc=cc, stderr=stderr)
+                return f"{cc} failed: {stderr}"
             os.replace(obj, so_path)  # atomic: concurrent compiles converge
-        return True
+        return None
     except (OSError, subprocess.SubprocessError) as exc:
         log_event(logger, "native.compile_failed", cc=cc, stderr=str(exc)[:200])
-        return False
+        return f"{cc} failed: {str(exc)[:200]}"
 
 
 def _bind(so_path: Path) -> ctypes.CDLL:
@@ -200,30 +222,61 @@ def _bind(so_path: Path) -> ctypes.CDLL:
     return lib
 
 
-def load() -> ctypes.CDLL | None:
-    """The bound library, compiling on first use; None when unavailable."""
-    global _lib, _load_attempted
-    if _lib is not None or _load_attempted:
-        return _lib
-    _load_attempted = True
+def _attempt_load() -> tuple[ctypes.CDLL | None, str | None]:
+    """One compile-or-dlopen attempt: ``(library, None)`` or ``(None, reason)``."""
     if os.environ.get("REPRO_NATIVE", "").lower() in ("off", "0", "no"):
-        return None
+        return None, "disabled by REPRO_NATIVE"
     key = hashlib.sha256(
         f"{NATIVE_VERSION}\n{_SOURCE}".encode()
     ).hexdigest()[:16]
     so_path = _cache_dir() / f"kernel_{key}.so"
     try:
-        if not so_path.exists() and not _compile(so_path):
-            return None
-        _lib = _bind(so_path)
+        if not so_path.exists():
+            reason = _compile(so_path)
+            if reason is not None:
+                return None, reason
+        return _bind(so_path), None
     except OSError as exc:
         log_event(logger, "native.load_failed", error=str(exc)[:200])
-        _lib = None
+        return None, f"load failed: {str(exc)[:200]}"
+
+
+def load() -> ctypes.CDLL | None:
+    """The bound library, compiling on first use; None when unavailable.
+
+    Double-checked: the flag is read without the lock on the hot path, and
+    set only after the attempt has finished, so no caller can observe an
+    attempt in progress as a finished failure.
+    """
+    global _lib, _load_attempted, _unavailable_reason
+    if _load_attempted:
+        return _lib
+    with _load_lock:
+        if not _load_attempted:
+            _lib, _unavailable_reason = _attempt_load()
+            _load_attempted = True
     return _lib
 
 
 def available() -> bool:
     return load() is not None
+
+
+def warn_unavailable() -> None:
+    """Log one ``native.unavailable`` WARNING per process, with the reason
+    the library could not be loaded; later calls are silent."""
+    global _warned
+    with _load_lock:
+        if _warned:
+            return
+        _warned = True
+    log_event(
+        logger,
+        "native.unavailable",
+        level=logging.WARNING,
+        reason=_unavailable_reason or "unknown",
+        fallback="blocked",
+    )
 
 
 # -- array-level wrappers (validate layout, then hand off raw pointers) ----

@@ -317,10 +317,14 @@ def resolve_kernel(name: str) -> str:
 
     ``auto`` picks the native kernel when a compiled build is usable and the
     blocked numpy kernel otherwise — the two are bit-identical, so the
-    choice is invisible to everything but wall-clock.
+    choice is invisible to everything but wall-clock.  The fallback is far
+    slower, so it logs one ``native.unavailable`` WARNING per process.
     """
     if name == "auto":
-        return "native" if _native.available() else "blocked"
+        if _native.available():
+            return "native"
+        _native.warn_unavailable()
+        return "blocked"
     if name not in ONLINE_KERNELS:
         raise ModelError(
             f"unknown kernel {name!r}; expected one of {list(KERNEL_CHOICES)}"

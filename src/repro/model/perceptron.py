@@ -31,6 +31,10 @@ FIT_MODES = ("online", "minibatch")
 #: (batch, n_features) int64 index matrix to ~75 MB at 1159 features
 DEFAULT_BATCH_SIZE = 8192
 
+#: rows per chunk in :func:`quantize_bins`; bounds its float64 + int64
+#: scratch to ~3 MB at 24 features
+QUANTIZE_CHUNK_ROWS = 8192
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX = np.uint64(0xBF58476D1CE4E5B9)
 
@@ -42,16 +46,30 @@ def quantize_bins(X: np.ndarray, n_bins: int) -> np.ndarray:
     This is the only part of index hashing that reads the feature *values*,
     and it is salt-free — every ensemble member with the same ``n_bins``
     shares it.  The trainer and scorer compute it once per matrix and hand
-    the bins to each member; the shared-memory train pool ships this uint8
-    matrix (8x smaller than the float64 features) instead of ``X`` itself.
+    the bins to each member.
+
+    Rows are quantized in :data:`QUANTIZE_CHUNK_ROWS` chunks into the
+    preallocated uint8 result, so the float64 clip and int64 cast scratch is
+    bounded by one chunk instead of two copies of the whole matrix.  Every
+    row is independent, so the result is bit-identical to the one-shot
+    formula (NaN included: it casts through int64 exactly as before).
     """
-    X = np.asarray(X, dtype=np.float64)
-    scaled = np.clip(X, -4.0, 4.0)
-    scaled += 4.0
-    scaled *= n_bins / 8.0
-    bins = scaled.astype(np.int64)
-    np.minimum(bins, n_bins - 1, out=bins)
-    return bins.astype(np.uint8)
+    X = np.asarray(X)
+    n = X.shape[0]
+    out = np.empty(X.shape, dtype=np.uint8)
+    rows = min(n, QUANTIZE_CHUNK_ROWS)
+    scaled = np.empty((rows, *X.shape[1:]), dtype=np.float64)
+    bins = np.empty(scaled.shape, dtype=np.int64)
+    for start in range(0, n, QUANTIZE_CHUNK_ROWS):
+        stop = min(start + QUANTIZE_CHUNK_ROWS, n)
+        s, b = scaled[: stop - start], bins[: stop - start]
+        np.clip(np.asarray(X[start:stop], dtype=np.float64), -4.0, 4.0, out=s)
+        s += 4.0
+        s *= n_bins / 8.0
+        np.copyto(b, s, casting="unsafe")
+        np.minimum(b, n_bins - 1, out=b)
+        out[start:stop] = b
+    return out
 
 
 class HashedPerceptron:
@@ -69,8 +87,8 @@ class HashedPerceptron:
         if n_features < 1:
             raise ModelError("n_features must be >= 1")
         if not (1 <= int(n_bins) <= 256):
-            # quantized bins pack into uint8 so ensembles and the shm train
-            # pool can share one bins matrix across members
+            # quantized bins pack into uint8 so every ensemble member can
+            # share one bins matrix
             raise ModelError(f"n_bins must be in [1, 256], got {n_bins}")
         self.n_features = int(n_features)
         self.n_tables = int(n_tables)
@@ -279,7 +297,7 @@ class HashedPerceptron:
         but accuracy-equivalent training order.  ``bins`` optionally supplies
         the precomputed (salt-free) :func:`quantize_bins` matrix for ``X`` so
         ensemble trainers quantize once per matrix instead of once per
-        member; the shared-memory pool passes an attached read-only view.
+        member.
         """
         if mode not in FIT_MODES:
             raise ModelError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")

@@ -1,62 +1,36 @@
-"""Process-based parallel ensemble training with a zero-copy fast path.
+"""Thread-parallel ensemble training.
 
 :func:`train_ensemble` fits every hash-seeded ensemble member and returns
-them **in model order**, with per-member training seconds and update
-histories.  Worker count is semantics-free exactly like the ingest pool:
-each member's training depends only on its own seed (hash salts, shuffle
-order, and weights all derive from it, never from worker identity or shared
-state), so ``workers=N`` produces bit-identical models to ``workers=1`` for
-any ``N`` — the train-pool regression tests pin this.
+them **in seed order**, with per-member training seconds and update
+histories.  The width is semantics-free exactly like the ingest pool: each
+member's training depends only on its own seed (hash salts, shuffle order,
+and weights all derive from it, never from thread identity or shared
+state), so any width produces bit-identical models — the train-pool
+regression tests pin this.
 
-Two pooled transports exist, selected by ``shm``:
-
-* ``shm="on"`` (and the ``"auto"`` default when pooled): the parent
-  quantizes the feature matrix **once** into the salt-free uint8 bins
-  matrix every member shares, puts bins + labels into
-  ``multiprocessing.shared_memory`` via :mod:`repro.model.shm`, and ships
-  workers only segment names, dtypes/shapes, and member seeds.  Workers
-  attach read-only views and fit against them directly — no per-worker
-  matrix pickle, no per-member re-quantize.  The parent owns segment
-  lifetime: a ``finally`` unlinks everything on success, worker crash, and
-  ``KeyboardInterrupt`` alike, which the resource-leak tests pin.
-* ``shm="off"``: the legacy transport — the float64 matrix is broadcast
-  once per worker through the pool initializer (pickled per worker).
-
-A worker that dies mid-fit (e.g. SIGKILL) or raises degrades gracefully:
-the pool logs a ``train_pool.worker_lost`` WARNING and refits that member
-in-process, producing the identical final model because member fits are
-pure functions of ``(seed, data)``.
-
-Workers ship back ``(weights, history, elapsed)`` rather than whole models;
-the parent reconstructs each member from its seed (which regenerates the
-identical salts) and installs the trained weights.
+Members fit on a :class:`~concurrent.futures.ThreadPoolExecutor` inside the
+process.  The parent quantizes the feature matrix **once** into the
+salt-free uint8 bins matrix and every member reads that one matrix and one
+label array; each member owns only its weights and hash indices.  The hot
+loops (index hashing and the native epoch kernel) are ``ctypes`` calls,
+which release the GIL, so members overlap on separate cores with no
+pickling, fork or shared-memory transport.  The numpy kernels hold the GIL
+for most of their work and gain little from threads, but stay correct.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ModelError
 from ..telemetry import get_logger, log_event
 from .perceptron import HashedPerceptron, quantize_bins
-from .shm import AttachedArrays, SharedArrays
 
 logger = get_logger("repro.model.train_pool")
-
-#: accepted values for ``train_ensemble(shm=...)``
-SHM_CHOICES = ("auto", "on", "off")
-
-#: failure-injection hooks for the crash/leak test suites: set to a member
-#: index to SIGKILL the fitting worker / raise mid-fit for that member
-_KILL_ENV = "REPRO_TRAIN_POOL_KILL_MEMBER"
-_RAISE_ENV = "REPRO_TRAIN_POOL_RAISE_MEMBER"
 
 
 @dataclass
@@ -68,97 +42,15 @@ class TrainedMember:
     train_s: float = 0.0
 
 
-def resolve_shm(shm: str, workers: int) -> bool:
-    """Whether the pooled path should use shared-memory transport."""
-    if shm not in SHM_CHOICES:
-        raise ModelError(f"unknown shm mode {shm!r}; expected one of {SHM_CHOICES}")
-    if shm == "on":
-        return True
-    if shm == "off":
-        return False
-    return workers > 1
-
-
-def _maybe_inject_failure(member: int) -> None:
-    """Test hooks: die or raise while fitting a specific member."""
-    kill = os.environ.get(_KILL_ENV)
-    if kill is not None and int(kill) == member:
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise_at = os.environ.get(_RAISE_ENV)
-    if raise_at is not None and int(raise_at) == member:
-        raise RuntimeError(f"injected mid-fit failure for member {member}")
-
-
-def _fit_one(
-    k: int,
-    n_features: int,
-    seed: int,
-    model_kwargs: dict,
-    fit_kwargs: dict,
-    *,
-    y: np.ndarray,
-    X: np.ndarray | None = None,
-    bins: np.ndarray | None = None,
-) -> tuple[int, np.ndarray, list[int], float]:
-    """Fit member ``k`` from either the raw matrix or precomputed bins."""
-    t0 = time.monotonic()
-    model = HashedPerceptron(n_features, seed=seed, **model_kwargs)
-    history = model.fit(X, y, bins=bins, **fit_kwargs)
-    return k, model.weights, history, time.monotonic() - t0
-
-
-# -- legacy broadcast transport (shm="off") --------------------------------
-
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(X: np.ndarray, y: np.ndarray, model_kwargs: dict, fit_kwargs: dict) -> None:
-    """Stash the broadcast training set once per worker process."""
-    global _WORKER_STATE
-    _WORKER_STATE = (X, y, model_kwargs, fit_kwargs)
-
-
-def _fit_member(task: tuple[int, int, int]) -> tuple[int, np.ndarray, list[int], float]:
-    k, n_features, seed = task
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    X, y, model_kwargs, fit_kwargs = _WORKER_STATE
-    _maybe_inject_failure(k)
-    return _fit_one(k, n_features, seed, model_kwargs, fit_kwargs, y=y, X=X)
-
-
-# -- shared-memory transport (shm="on") ------------------------------------
-
-_SHM_STATE: tuple | None = None
-
-
-def _init_shm_worker(
-    wire_specs: dict, model_kwargs: dict, fit_kwargs: dict
-) -> None:
-    """Attach to the parent's segments once per worker process.
-
-    The attachment is read-only and is never unlinked here — segment
-    lifetime belongs to the parent (see :mod:`repro.model.shm`).  The
-    mapping is released implicitly when the worker exits.
-    """
-    global _SHM_STATE
-    attached = AttachedArrays(wire_specs)
-    _SHM_STATE = (attached, model_kwargs, fit_kwargs)
-
-
-def _fit_member_shm(task: tuple[int, int, int]) -> tuple[int, np.ndarray, list[int], float]:
-    k, n_features, seed = task
-    assert _SHM_STATE is not None, "worker initializer did not run"
-    attached, model_kwargs, fit_kwargs = _SHM_STATE
-    _maybe_inject_failure(k)
-    return _fit_one(
-        k,
-        n_features,
-        seed,
-        model_kwargs,
-        fit_kwargs,
-        y=attached.arrays["y"],
-        bins=attached.arrays["bins"],
-    )
+def derive_workers(workers: int | None, members: int) -> int:
+    """Threads to fit ``members`` on: ``workers`` when given, else one per
+    CPU this process may run on, and never more than there are members."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:  # no affinity API off Linux
+            workers = os.cpu_count() or 1
+    return max(1, min(workers, members))
 
 
 def train_ensemble(
@@ -169,45 +61,35 @@ def train_ensemble(
     seeds: list[int],
     model_kwargs: dict | None = None,
     fit_kwargs: dict | None = None,
-    workers: int = 1,
-    shm: str = "auto",
+    workers: int | None = None,
 ) -> list[TrainedMember]:
     """Fit one member per seed; results are returned in ``seeds`` order.
 
-    ``workers <= 1`` trains serially in-process (quantizing once and
-    sharing the bins matrix across members).  ``shm`` selects the pooled
-    transport: ``"on"``/``"off"`` force it, ``"auto"`` uses shared memory
-    whenever the pool is active.  Both transports and the serial path are
-    bit-identical.  ``model_kwargs`` feeds the :class:`HashedPerceptron`
-    constructor (minus ``seed``); ``fit_kwargs`` feeds
-    :meth:`HashedPerceptron.fit`.
+    ``workers`` is the thread count (``None`` derives it, see
+    :func:`derive_workers`); every width is bit-identical.
+    ``model_kwargs`` feeds the :class:`HashedPerceptron` constructor (minus
+    ``seed``); ``fit_kwargs`` feeds :meth:`HashedPerceptron.fit`.
     """
     model_kwargs = dict(model_kwargs or {})
     fit_kwargs = dict(fit_kwargs or {})
     t_start = time.monotonic()
-    n_workers = max(1, min(workers, len(seeds))) if seeds else 1
-    use_shm = resolve_shm(shm, n_workers)
+    n_workers = derive_workers(workers, len(seeds))
     log_event(
         logger,
         "train_pool.start",
         workers=n_workers,
         members=len(seeds),
         mode=fit_kwargs.get("mode", "online"),
-        shm=use_shm,
     )
-    X = np.ascontiguousarray(X)
     y = np.asarray(y)
-    n_bins = int(model_kwargs.get("n_bins", 16))
-    # quantization is salt-free, so one bins matrix serves every member —
-    # this is both the serial fast path and the shm payload (uint8: 8x
-    # smaller than the float64 features)
-    bins = quantize_bins(X, n_bins)
-    members: list[TrainedMember] = []
+    # quantization is salt-free, so one bins matrix serves every member
+    bins = quantize_bins(X, int(model_kwargs.get("n_bins", 16)))
 
-    def record(k: int, weights: np.ndarray, history: list[int], elapsed: float) -> None:
+    def fit(k: int) -> TrainedMember:
+        t0 = time.monotonic()
         model = HashedPerceptron(n_features, seed=seeds[k], **model_kwargs)
-        model.weights = np.asarray(weights, dtype=np.int32)
-        members.append(TrainedMember(model=model, history=history, train_s=elapsed))
+        history = model.fit(None, y, bins=bins, **fit_kwargs)
+        elapsed = time.monotonic() - t0
         log_event(
             logger,
             "train_pool.member",
@@ -216,82 +98,18 @@ def train_ensemble(
             epochs=len(history),
             elapsed=f"{elapsed:.3f}",
         )
+        return TrainedMember(model=model, history=history, train_s=elapsed)
 
     if n_workers <= 1:
-        for k, seed in enumerate(seeds):
-            record(*_fit_one(k, n_features, seed, model_kwargs, fit_kwargs, y=y, bins=bins))
-    elif use_shm:
-        with SharedArrays({"bins": bins, "y": y.astype(np.int64, copy=False)}) as shared:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_shm_worker,
-                initargs=(shared.wire_specs(), model_kwargs, fit_kwargs),
-            ) as executor:
-                futures = [
-                    executor.submit(_fit_member_shm, (k, n_features, seed))
-                    for k, seed in enumerate(seeds)
-                ]
-                results: list[tuple | None] = [None] * len(seeds)
-                fallbacks: list[tuple[int, str]] = []
-                for k, fut in enumerate(futures):
-                    try:
-                        results[k] = fut.result()
-                    except Exception as exc:  # worker died or raised mid-fit
-                        fallbacks.append((k, f"{type(exc).__name__}: {exc}"))
-            # refit lost members in the parent (outside the executor block so
-            # a broken pool is already torn down, inside the shm block so the
-            # bins matrix is still the one the workers saw)
-            for k, reason in fallbacks:
-                log_event(
-                    logger,
-                    "train_pool.worker_lost",
-                    level=logging.WARNING,
-                    member=k,
-                    seed=seeds[k],
-                    reason=reason[:200],
-                )
-                results[k] = _fit_one(
-                    k, n_features, seeds[k], model_kwargs, fit_kwargs, y=y, bins=bins
-                )
-            for res in results:
-                assert res is not None
-                record(*res)
+        members = [fit(k) for k in range(len(seeds))]
     else:
-        tasks = [(k, n_features, seed) for k, seed in enumerate(seeds)]
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(X, y, model_kwargs, fit_kwargs),
-        ) as executor:
-            futures = [executor.submit(_fit_member, task) for task in tasks]
-            results = [None] * len(seeds)
-            fallbacks = []
-            for k, fut in enumerate(futures):
-                try:
-                    results[k] = fut.result()
-                except Exception as exc:
-                    fallbacks.append((k, f"{type(exc).__name__}: {exc}"))
-        for k, reason in fallbacks:
-            log_event(
-                logger,
-                "train_pool.worker_lost",
-                level=logging.WARNING,
-                member=k,
-                seed=seeds[k],
-                reason=reason[:200],
-            )
-            results[k] = _fit_one(
-                k, n_features, seeds[k], model_kwargs, fit_kwargs, y=y, bins=bins
-            )
-        for res in results:
-            assert res is not None
-            record(*res)
+        with ThreadPoolExecutor(max_workers=n_workers, thread_name_prefix="train") as pool:
+            members = list(pool.map(fit, range(len(seeds))))
     log_event(
         logger,
         "train_pool.done",
         workers=n_workers,
         members=len(members),
-        shm=use_shm,
         elapsed=f"{time.monotonic() - t_start:.3f}",
     )
     return members

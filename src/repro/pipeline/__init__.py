@@ -34,6 +34,8 @@ from ..model import (
     trace_verdicts,
     train_ensemble,
 )
+from ..model.kernels import resolve_kernel
+from ..model.train_pool import derive_workers
 from ..telemetry import get_logger, log_event, span
 
 logger = get_logger("repro.pipeline")
@@ -80,11 +82,9 @@ class PipelineConfig:
     fit_kernel: str = "auto"
     #: samples per minibatch when fit_mode="minibatch"; None = kernel default
     minibatch_size: int | None = None
-    #: ensemble-member training processes; <= 1 trains serially in-process
-    train_workers: int = 1
-    #: pooled-training transport: "auto" (shared memory whenever pooled),
-    #: "on", or "off" (legacy per-worker matrix broadcast) — bit-identical
-    train_shm: str = "auto"
+    #: ensemble-member training threads; None = one per usable CPU, capped
+    #: at the member count; <= 1 trains serially — bit-identical either way
+    train_workers: int | None = None
     #: when set, publish a versioned serving artifact (ensemble + normalizer
     #: + pinned margin scales) into this store after training
     artifact_root: str | None = None
@@ -275,9 +275,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "pipeline.train",
         members=n_models,
         mode=config.fit_mode,
-        kernel=config.fit_kernel,
-        workers=config.train_workers,
-        shm=config.train_shm,
+        kernel=resolve_kernel(config.fit_kernel),
+        workers=derive_workers(config.train_workers, n_models),
     ) as train_span:
         members = train_ensemble(
             Xtr,
@@ -297,7 +296,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 "minibatch_size": config.minibatch_size,
             },
             workers=config.train_workers,
-            shm=config.train_shm,
         )
         for k, member in enumerate(members):
             member.model.save(out_dir / "models" / f"member_{k}.npz")
@@ -402,7 +400,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "fit_kernel": config.fit_kernel,
             "minibatch_size": config.minibatch_size,
             "train_workers": config.train_workers,
-            "train_shm": config.train_shm,
             "dataset_cache_dir": config.dataset_cache_dir,
             "faults": vars(config.faults) if config.faults else None,
         },

@@ -85,17 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--train-workers",
         type=int,
-        default=1,
-        help="ensemble-member training processes (1 = serial in-process); "
-        "semantics-free like --workers",
-    )
-    parser.add_argument(
-        "--train-shm",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="pooled-training transport: shared-memory segments (workers "
-        "attach to one quantized matrix) vs legacy per-worker broadcast; "
-        "bit-identical either way, auto = shm whenever pooled",
+        default=None,
+        help="ensemble-member training threads (default: one per usable CPU, "
+        "capped at --n-models; 1 = serial); semantics-free like --workers",
     )
     parser.add_argument(
         "--faults",
@@ -152,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         fit_kernel=args.fit_kernel,
         minibatch_size=args.minibatch_size,
         train_workers=args.train_workers,
-        train_shm=args.train_shm,
         artifact_root=args.artifact_root,
     )
     try:

@@ -86,13 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retrain-workers",
         type=int,
         default=defaults.retrain_workers,
-        help="member-fit processes for full-mode retrains (bit-identical for any N)",
-    )
-    drift.add_argument(
-        "--retrain-shm",
-        choices=("auto", "on", "off"),
-        default=defaults.retrain_shm,
-        help="pooled-retrain transport (shared-memory attach vs per-worker broadcast)",
+        help="member-fit threads for full-mode retrains (bit-identical for any N)",
     )
     drift.add_argument("--retrain-min-traces", type=int, default=defaults.retrain_min_traces)
     drift.add_argument("--retrain-backoff", type=float, default=defaults.retrain_backoff_s)
@@ -135,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         retrain_passes=args.retrain_passes,
         retrain_timeout_s=args.retrain_timeout,
         retrain_workers=args.retrain_workers,
-        retrain_shm=args.retrain_shm,
         retrain_min_traces=args.retrain_min_traces,
         retrain_backoff_s=args.retrain_backoff,
         canary_min_traces=args.canary_min_traces,

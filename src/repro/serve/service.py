@@ -102,11 +102,10 @@ class ServeConfig:
     retrain_passes: int = 2
     #: wall-clock budget for one retrain subprocess
     retrain_timeout_s: float = 120.0
-    #: member-fit processes inside a full-mode retrain (bit-identical for
-    #: any N; partial mode always trains in-process)
+    #: member-fit threads inside a full-mode retrain (bit-identical for any
+    #: N; partial mode always trains serially).  Stays 1 so a retrain does
+    #: not take the live daemon's cores
     retrain_workers: int = 1
-    #: pooled-retrain transport: "auto" / "on" / "off" (see repro.model.shm)
-    retrain_shm: str = "auto"
     #: labeled traces needed before a retrain is attempted
     retrain_min_traces: int = 8
     #: base / cap of the exponential backoff after a failed retrain or a

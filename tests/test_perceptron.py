@@ -96,3 +96,39 @@ def test_bad_inputs_are_typed():
         model.fit_epoch(np.ones((2, 4)), np.array([0, 2]))  # labels not in {-1,1}
     with pytest.raises(ModelError):
         HashedPerceptron(0)
+
+
+def _whole_matrix_bins(X, n_bins):
+    """The one-shot quantize formula the chunked implementation replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    scaled = np.clip(X, -4.0, 4.0)
+    scaled += 4.0
+    scaled *= n_bins / 8.0
+    bins = scaled.astype(np.int64)
+    np.minimum(bins, n_bins - 1, out=bins)
+    return bins.astype(np.uint8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("n_bins", [1, 7, 16, 256])
+@pytest.mark.parametrize("rows", [0, 1, 8192, 2 * 8192 + 37])
+def test_chunked_quantize_matches_whole_matrix_formula(rows, n_bins):
+    from repro.model.perceptron import QUANTIZE_CHUNK_ROWS, quantize_bins
+
+    assert QUANTIZE_CHUNK_ROWS == 8192
+    rng = np.random.default_rng(rows + n_bins)
+    X = rng.normal(scale=3.0, size=(rows, 9))
+    if rows:
+        X[rng.random(X.shape) < 0.03] = np.nan
+        X[rng.random(X.shape) < 0.03] = np.inf
+        X[rng.random(X.shape) < 0.03] = -np.inf
+    got = quantize_bins(X, n_bins)
+    want = _whole_matrix_bins(X, n_bins)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    # float32 and memory-mapped style non-contiguous inputs take the same path
+    np.testing.assert_array_equal(
+        quantize_bins(X.astype(np.float32), n_bins),
+        _whole_matrix_bins(X.astype(np.float32), n_bins),
+    )
+    np.testing.assert_array_equal(quantize_bins(X[:, ::2], n_bins), want[:, ::2])

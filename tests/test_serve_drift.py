@@ -464,8 +464,6 @@ class TestRetrain:
             retrain(str(root), v1, str(path), mode="magic")
         with pytest.raises(RetrainFailed, match="features"):
             retrain(str(root), v1, str(path), mode="partial")
-        with pytest.raises(RetrainFailed, match="unknown shm mode"):
-            retrain(str(root), v1, str(path), mode="full", shm="sideways")
 
     def _feedback_path(self, tmp_path) -> "Path":
         items = [
@@ -479,22 +477,21 @@ class TestRetrain:
         write_feedback_npz(path, items)
         return path
 
-    def test_full_retrain_shm_pool_is_bit_identical_to_serial(
+    def test_full_retrain_thread_pool_is_bit_identical_to_serial(
         self, drift_root, tmp_path
     ):
-        """`--train-workers N --train-shm on` full retrains must publish the
-        byte-identical candidate the serial non-shm path publishes."""
+        """`--train-workers N` full retrains must publish the byte-identical
+        candidate the serial path publishes."""
         root, store, *_ , v1 = drift_root
         path = self._feedback_path(tmp_path)
         serial = retrain(
-            str(root), v1, str(path), mode="full", passes=3, seed=5,
-            workers=1, shm="off",
+            str(root), v1, str(path), mode="full", passes=3, seed=5, workers=1,
         )
         base_weights = [m.weights.copy() for m in store.load(serial).models]
-        for workers, shm in ((2, "on"), (2, "off"), (4, "auto")):
+        for workers in (2, 4):
             candidate = retrain(
                 str(root), v1, str(path), mode="full", passes=3, seed=5,
-                workers=workers, shm=shm,
+                workers=workers,
             )
             models = store.load(candidate).models
             for got, want in zip(models, base_weights):
@@ -503,16 +500,15 @@ class TestRetrain:
     def test_full_retrain_subprocess_cli_matches_in_process(
         self, drift_root, tmp_path
     ):
-        """The supervisor's actual subprocess invocation with shm flags stays
-        bit-identical to the in-process non-shm retrain."""
+        """The supervisor's actual subprocess invocation with two member
+        threads stays bit-identical to the in-process serial retrain."""
         import os
         import subprocess
 
         root, store, *_ , v1 = drift_root
         path = self._feedback_path(tmp_path)
         serial = retrain(
-            str(root), v1, str(path), mode="full", passes=3, seed=5,
-            workers=1, shm="off",
+            str(root), v1, str(path), mode="full", passes=3, seed=5, workers=1,
         )
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
@@ -523,7 +519,7 @@ class TestRetrain:
                 "--artifact-root", str(root), "--base", v1,
                 "--data", str(path), "--mode", "full",
                 "--passes", "3", "--seed", "5",
-                "--train-workers", "2", "--train-shm", "on",
+                "--train-workers", "2",
             ],
             capture_output=True,
             text=True,

@@ -210,3 +210,72 @@ def test_auto_kernel_resolves_to_a_real_kernel():
     assert "auto" in KERNEL_CHOICES
     with pytest.raises(ModelError):
         resolve_kernel("warp")
+
+
+@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
+@pytest.mark.parametrize("n", [1, 8, 9])
+def test_native_kernel_matches_reference_near_prefetch_distance(n):
+    """Epochs shorter than, equal to, and just past the prefetch distance."""
+    X, y = blobs(n=20, seed=n)
+    X, y = X[:n], y[:n]
+    ref = HashedPerceptron(X.shape[1], theta=5.0, seed=n)
+    nat = HashedPerceptron(X.shape[1], theta=5.0, seed=n)
+    assert ref.fit(X, y, epochs=4, kernel="reference") == nat.fit(
+        X, y, epochs=4, kernel="native"
+    )
+    np.testing.assert_array_equal(ref.weights, nat.weights)
+
+
+def _reset_native(monkeypatch, tmp_path):
+    """Forget any loaded library and point the build cache at an empty
+    directory, so the next call makes a real first load attempt."""
+    from repro.model import _native
+
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_load_attempted", False)
+    monkeypatch.setattr(_native, "_unavailable_reason", None)
+    monkeypatch.setattr(_native, "_warned", False)
+    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "native_build"))
+    return _native
+
+
+@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
+def test_concurrent_first_load_is_available_on_every_thread(monkeypatch, tmp_path):
+    """Threads racing the first load must all wait for the one attempt, not
+    see it in progress as a failure and fall back to the numpy kernel."""
+    import threading
+
+    _native = _reset_native(monkeypatch, tmp_path)
+    barrier = threading.Barrier(8)
+    results: list[bool] = []
+
+    def first_call() -> None:
+        barrier.wait(timeout=60)
+        results.append(_native.available())
+
+    threads = [threading.Thread(target=first_call) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert results == [True] * 8
+
+
+def test_auto_fallback_warns_once_with_reason(monkeypatch, tmp_path, caplog):
+    import logging
+
+    from repro.model.kernels import resolve_kernel
+
+    _reset_native(monkeypatch, tmp_path)
+    monkeypatch.setenv("REPRO_NATIVE", "off")
+    # the repro telemetry root does not propagate (it owns its own stderr
+    # handler); re-enable propagation so caplog can observe the event
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    with caplog.at_level(logging.WARNING, logger="repro.model.native"):
+        assert resolve_kernel("auto") == "blocked"
+        assert resolve_kernel("auto") == "blocked"
+    events = [r for r in caplog.records if "event=native.unavailable" in r.getMessage()]
+    assert len(events) == 1
+    assert events[0].levelno == logging.WARNING
+    assert "REPRO_NATIVE" in events[0].getMessage()

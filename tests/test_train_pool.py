@@ -1,19 +1,21 @@
-"""Parallel ensemble training: ``--train-workers N`` must be semantics-free
-(identical models, histories, and metrics for any worker count), and the
-opt-in minibatch mode must stay within the golden-corpus accuracy
-tolerance."""
+"""Threaded ensemble training: ``--train-workers N`` must be semantics-free
+(identical models, histories, and metrics for any thread width), the
+derived default width must follow its rule, and the opt-in minibatch mode
+must stay within the golden-corpus accuracy tolerance."""
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.faults import FaultPlan
 from repro.model import HashedPerceptron, train_ensemble
+from repro.model.train_pool import derive_workers
 from repro.pipeline import PipelineConfig, run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
@@ -76,23 +78,23 @@ _VOLATILE = ("created", "elapsed_s", "timings")
 
 
 def _run(out_dir: Path, **overrides) -> dict:
-    config = PipelineConfig(
-        trace_dir=str(GOLDEN),
-        out_dir=str(out_dir),
-        epochs=6,
-        seed=7,
-        n_models=3,
-        theta=5.0,
-        **overrides,
-    )
+    settings = dict(epochs=6, seed=7, n_models=3, theta=5.0)
+    settings.update(overrides)
+    config = PipelineConfig(trace_dir=str(GOLDEN), out_dir=str(out_dir), **settings)
     run_pipeline(config)
     metrics = json.loads((out_dir / "metrics.json").read_text())
     for key in _VOLATILE:
         metrics.pop(key, None)
-    # the knobs under test are allowed to differ in the echoed config
+    # the knob under test is allowed to differ in the echoed config
     metrics["config"].pop("train_workers", None)
-    metrics["config"].pop("train_shm", None)
     return metrics
+
+
+def _weights(out_dir: Path, members: int) -> list[np.ndarray]:
+    return [
+        HashedPerceptron.load(out_dir / "models" / f"member_{k}.npz").weights
+        for k in range(members)
+    ]
 
 
 def test_pipeline_train_workers_invariance(tmp_path):
@@ -104,10 +106,8 @@ def test_pipeline_train_workers_invariance(tmp_path):
 def test_pipeline_train_workers_model_artifacts_identical(tmp_path):
     _run(tmp_path / "w1", train_workers=1)
     _run(tmp_path / "w4", train_workers=4)
-    for k in range(3):
-        a = HashedPerceptron.load(tmp_path / "w1" / "models" / f"member_{k}.npz")
-        b = HashedPerceptron.load(tmp_path / "w4" / "models" / f"member_{k}.npz")
-        np.testing.assert_array_equal(a.weights, b.weights)
+    for a, b in zip(_weights(tmp_path / "w1", 3), _weights(tmp_path / "w4", 3)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_minibatch_stays_within_golden_accuracy_tolerance(tmp_path):
@@ -138,64 +138,83 @@ def test_pipeline_fit_kernel_is_semantics_free(tmp_path, kernel):
     assert variant == base
 
 
-# -- shared-memory transport: byte-identical across every worker count ------
+# -- thread width: byte-identical across every width, five members ---------
 
 
 def _quarter_faults() -> FaultPlan:
-    """The 25% payload-corruption plan the shm bit-identity matrix runs on."""
+    """The 25% payload-corruption plan the width-invariance matrix runs on."""
     return FaultPlan(corrupt_rate=0.25, seed=7)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_shm_pool_matches_serial_blocked_on_golden(tmp_path, workers):
-    serial = _run(tmp_path / "serial", train_workers=1, train_shm="off", fit_kernel="blocked")
-    shm = _run(
-        tmp_path / f"shm{workers}",
-        train_workers=workers,
-        train_shm="on",
-        fit_kernel="blocked",
-    )
-    assert shm == serial
+def _assert_width_invariant(tmp_path: Path, width: int, **overrides) -> None:
+    """Width ``width`` must reproduce the serial run's metrics (histories
+    included) and every member's weights, with all five members fitted."""
+    serial = _run(tmp_path / "serial", n_models=5, train_workers=1, **overrides)
+    threaded = _run(tmp_path / f"w{width}", n_models=5, train_workers=width, **overrides)
+    assert threaded["training"]["updates_per_epoch"] == serial["training"]["updates_per_epoch"]
+    assert threaded == serial
+    for a, b in zip(_weights(tmp_path / "serial", 5), _weights(tmp_path / f"w{width}", 5)):
+        np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_shm_pool_matches_serial_blocked_under_faults(tmp_path, workers):
-    serial = _run(
-        tmp_path / "serial",
-        train_workers=1,
-        train_shm="off",
-        fit_kernel="blocked",
-        faults=_quarter_faults(),
-    )
-    shm = _run(
-        tmp_path / f"shm{workers}",
-        train_workers=workers,
-        train_shm="on",
-        fit_kernel="blocked",
-        faults=_quarter_faults(),
-    )
-    assert shm == serial
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_thread_width_matches_serial_on_golden(tmp_path, width):
+    _assert_width_invariant(tmp_path, width)
 
 
-def test_shm_model_artifacts_byte_identical(tmp_path):
-    _run(tmp_path / "serial", train_workers=1, train_shm="off")
-    _run(tmp_path / "shm", train_workers=4, train_shm="on")
-    for k in range(3):
-        a = HashedPerceptron.load(tmp_path / "serial" / "models" / f"member_{k}.npz")
-        b = HashedPerceptron.load(tmp_path / "shm" / "models" / f"member_{k}.npz")
-        np.testing.assert_array_equal(a.weights, b.weights)
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_thread_width_matches_serial_under_faults(tmp_path, width):
+    _assert_width_invariant(tmp_path, width, faults=_quarter_faults())
 
 
-def test_shm_transport_toggle_is_semantics_free(tmp_path):
-    on = _run(tmp_path / "on", train_workers=2, train_shm="on")
-    off = _run(tmp_path / "off", train_workers=2, train_shm="off")
-    auto = _run(tmp_path / "auto", train_workers=2, train_shm="auto")
-    assert on == off == auto
+@pytest.mark.parametrize("kernel", ["blocked", "auto"])
+def test_thread_width_matches_serial_under_forced_switching(kernel):
+    """Five member threads on fewer cores, switching as often as the
+    interpreter allows: a member that read or wrote another's state would
+    change its weights."""
+    X, y = blobs(n=400, d=24, seed=3)
 
-
-def test_unknown_shm_mode_is_a_typed_error():
-    X, y = blobs()
-    with pytest.raises(ModelError):
-        train_ensemble(
-            X, y, n_features=X.shape[1], seeds=[1], workers=2, shm="sideways"
+    def fit(width: int):
+        return train_ensemble(
+            X,
+            y,
+            n_features=X.shape[1],
+            seeds=[11, 12, 13, 14, 15],
+            model_kwargs={"theta": 5.0},
+            fit_kwargs={"epochs": 8, "kernel": kernel},
+            workers=width,
         )
+
+    serial = fit(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = fit(5)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert a.history == b.history
+        np.testing.assert_array_equal(a.model.weights, b.model.weights)
+
+
+def test_derived_width_is_usable_cpus_capped_at_members(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert derive_workers(None, 5) == 3
+    assert derive_workers(None, 2) == 2
+    assert derive_workers(None, 0) == 1
+    # an explicit width wins over the CPU count, still capped at members
+    assert derive_workers(8, 5) == 5
+    assert derive_workers(1, 5) == 1
+    assert derive_workers(0, 5) == 1
+
+
+def test_width_defaults():
+    """The pipeline derives its width; retrains keep one thread so they do
+    not take a live daemon's cores."""
+    from repro.serve.retrain import build_parser
+    from repro.serve.service import ServeConfig
+
+    assert PipelineConfig().train_workers is None
+    assert ServeConfig(artifact_root="unused").retrain_workers == 1
+    args = build_parser().parse_args(["--artifact-root", "a", "--base", "b", "--data", "c"])
+    assert args.train_workers == 1

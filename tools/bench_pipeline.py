@@ -19,13 +19,12 @@ dataset-cache group (decode cache A warm, assembled-dataset tier varies):
 
 train group (cache A stays warm, training path varies):
 
-7. ``warm_ref_train``       ``--fit-kernel reference`` — the naive
+7. ``warm_ref_train``     ``--fit-kernel reference`` — the naive
    per-sample spec; its ``train_s`` is the training baseline
-8. ``warm_train_parallel``  ``--train-workers N --train-shm off`` — pooled
-   member training over the legacy per-worker broadcast transport
-9. ``warm_train_shm``       ``--train-workers N --train-shm on`` — pooled
-   member training attaching to one shared-memory bins matrix
-10. ``warm_minibatch``      ``--fit-mode minibatch`` — batched rule (opt-in)
+8. ``warm_train_serial``  ``--train-workers 1`` — members fit one after
+   another; every other run uses the derived thread width, so its
+   ``train_s`` against ``warm_serial``'s is the member-thread speedup
+9. ``warm_minibatch``     ``--fit-mode minibatch`` — batched rule (opt-in)
 
 With ``--stage-corpus gen:COUNT[...]`` the report gains a ``stage_timings``
 section: a deterministic synthetic corpus is generated, run cold (both
@@ -77,7 +76,7 @@ from repro.telemetry import get_logger, log_event  # noqa: E402
 
 logger = get_logger("repro.tools.bench")
 
-BENCH_VERSION = 4
+BENCH_VERSION = 5
 
 #: metrics fields that must be identical across every benchmarked run
 #: (except ``warm_minibatch``, which is held to the accuracy tolerance)
@@ -116,7 +115,6 @@ def _one_run(
         "fit_mode": config.fit_mode,
         "fit_kernel": config.fit_kernel,
         "train_workers": config.train_workers,
-        "train_shm": config.train_shm,
         "elapsed_s": round(elapsed, 3),
         "timings": metrics["timings"],
         "cache": metrics["ingest"].get("cache"),
@@ -349,16 +347,7 @@ def main(argv: list[str] | None = None) -> int:
             {"workers": 1, "dataset_cache_dir": str(dcache)},
         ),
         ("warm_ref_train", cache_a, {"workers": 1, "fit_kernel": "reference"}),
-        (
-            "warm_train_parallel",
-            cache_a,
-            {"workers": 1, "train_workers": args.workers, "train_shm": "off"},
-        ),
-        (
-            "warm_train_shm",
-            cache_a,
-            {"workers": 1, "train_workers": args.workers, "train_shm": "on"},
-        ),
+        ("warm_train_serial", cache_a, {"workers": 1, "train_workers": 1}),
         ("warm_minibatch", cache_a, {"workers": 1, "fit_mode": "minibatch"}),
     ]
     runs: dict[str, dict] = {}
@@ -418,13 +407,9 @@ def main(argv: list[str] | None = None) -> int:
                 runs["warm_ref_train"]["timings"]["train_s"],
                 runs["warm_minibatch"]["timings"]["train_s"],
             ),
-            "train_shm_vs_serial": _ratio(
+            "train_threads_vs_serial": _ratio(
+                runs["warm_train_serial"]["timings"]["train_s"],
                 runs["warm_serial"]["timings"]["train_s"],
-                runs["warm_train_shm"]["timings"]["train_s"],
-            ),
-            "train_shm_vs_broadcast_pool": _ratio(
-                runs["warm_train_parallel"]["timings"]["train_s"],
-                runs["warm_train_shm"]["timings"]["train_s"],
             ),
             "dataset_cache_vs_warm_serial_ingest_featurize": _ratio(
                 _ingest_featurize(runs["warm_serial"]),
