@@ -82,8 +82,10 @@ def train_ensemble(
         mode=fit_kwargs.get("mode", "online"),
     )
     y = np.asarray(y)
-    # quantization is salt-free, so one bins matrix serves every member
+    # quantization is salt-free, so one bins matrix serves every member;
+    # read-only, so no member thread can change what another one reads
     bins = quantize_bins(X, int(model_kwargs.get("n_bins", 16)))
+    bins.setflags(write=False)
 
     def fit(k: int) -> TrainedMember:
         t0 = time.monotonic()

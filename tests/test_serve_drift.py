@@ -477,11 +477,12 @@ class TestRetrain:
         write_feedback_npz(path, items)
         return path
 
-    def test_full_retrain_thread_pool_is_bit_identical_to_serial(
+    def test_full_retrain_shm_pool_is_bit_identical_to_serial(
         self, drift_root, tmp_path
     ):
         """`--train-workers N` full retrains must publish the byte-identical
-        candidate the serial path publishes."""
+        candidate the serial path publishes.  The name dates from the
+        shared-memory process pool that member threads replaced."""
         root, store, *_ , v1 = drift_root
         path = self._feedback_path(tmp_path)
         serial = retrain(

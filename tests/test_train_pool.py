@@ -167,6 +167,48 @@ def test_thread_width_matches_serial_under_faults(tmp_path, width):
     _assert_width_invariant(tmp_path, width, faults=_quarter_faults())
 
 
+# The next three tests keep the names they had when members were fitted in
+# worker processes over shared memory; they now pin the member threads.
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_shm_pool_matches_serial_blocked_on_golden(tmp_path, workers):
+    """The numpy ``blocked`` kernel holds the GIL for most of its work;
+    member threads running it must still match the serial run."""
+    serial = _run(tmp_path / "serial", train_workers=1, fit_kernel="blocked")
+    pooled = _run(tmp_path / f"w{workers}", train_workers=workers, fit_kernel="blocked")
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_shm_pool_matches_serial_blocked_under_faults(tmp_path, workers):
+    serial = _run(
+        tmp_path / "serial",
+        train_workers=1,
+        fit_kernel="blocked",
+        faults=_quarter_faults(),
+    )
+    pooled = _run(
+        tmp_path / f"w{workers}",
+        train_workers=workers,
+        fit_kernel="blocked",
+        faults=_quarter_faults(),
+    )
+    assert pooled == serial
+
+
+def test_shm_model_artifacts_byte_identical(tmp_path):
+    """Every saved member file, not only its weights, is byte-identical
+    between the serial run and a two-thread run."""
+    _run(tmp_path / "serial", train_workers=1)
+    _run(tmp_path / "pooled", train_workers=2)
+    for k in range(3):
+        name = f"member_{k}.npz"
+        a = (tmp_path / "serial" / "models" / name).read_bytes()
+        b = (tmp_path / "pooled" / "models" / name).read_bytes()
+        assert a == b, name
+
+
 @pytest.mark.parametrize("kernel", ["blocked", "auto"])
 def test_thread_width_matches_serial_under_forced_switching(kernel):
     """Five member threads on fewer cores, switching as often as the

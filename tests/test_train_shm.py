@@ -1,33 +1,33 @@
-"""Shared-memory train-pool lifecycle: segments must never outlive the fit.
+"""Memory the member threads share: one read-only bins matrix, no segments.
 
-Every exit path — clean completion, a worker SIGKILL'd mid-fit, an injected
-mid-fit exception, and a ``KeyboardInterrupt`` in the parent — must leave
-``/dev/shm`` free of ``repro-train-*`` residue, and crash paths must degrade
-to an in-process refit with a WARNING while producing the byte-identical
-final ensemble.  A subprocess case runs a pooled fit under ``-W error`` to
-prove no ``resource_tracker`` (or any other) warning fires.
+The train pool fits members on threads inside the process, so every member
+reads the same quantized bins matrix and label array.  These tests pin that
+the shared matrix is one object no member can write, that no fit creates
+``/dev/shm`` segments (the shared-memory process pool this replaced named
+them ``repro-train-*``), that a failing member surfaces its exception with
+every pool thread joined, and that a pooled fit runs clean under
+``-W error``.
 """
 
 from __future__ import annotations
 
 import glob
-import logging
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.model import train_ensemble
-from repro.model.shm import SEGMENT_PREFIX, AttachedArrays, SharedArrays
+from repro.model import HashedPerceptron, train_ensemble
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def residue() -> list[str]:
-    """Our shared-memory segments currently visible in /dev/shm."""
-    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    """Repro shared-memory segments currently visible in /dev/shm."""
+    return sorted(glob.glob("/dev/shm/repro-*"))
 
 
 def blobs(n=80, d=16, seed=0):
@@ -39,7 +39,7 @@ def blobs(n=80, d=16, seed=0):
     return X, y
 
 
-def _ensemble(workers: int, shm: str = "auto"):
+def _ensemble(workers: int):
     X, y = blobs()
     return train_ensemble(
         X,
@@ -49,121 +49,59 @@ def _ensemble(workers: int, shm: str = "auto"):
         model_kwargs={"theta": 5.0},
         fit_kwargs={"epochs": 6},
         workers=workers,
-        shm=shm,
     )
 
 
-# -- segment plumbing -------------------------------------------------------
+def _spy_fit(monkeypatch, before=None):
+    """Wrap :meth:`HashedPerceptron.fit`, recording each member's ``bins``
+    and the segment residue while it runs; ``before(model)`` runs first."""
+    seen: list[tuple[np.ndarray, list[str]]] = []
+    fit = HashedPerceptron.fit
+
+    def spy(self, X, y, **kwargs):
+        if before is not None:
+            before(self)
+        seen.append((kwargs.get("bins"), residue()))
+        return fit(self, X, y, **kwargs)
+
+    monkeypatch.setattr(HashedPerceptron, "fit", spy)
+    return seen
 
 
-def test_share_attach_round_trip():
-    arrays = {
-        "bins": np.arange(24, dtype=np.uint8).reshape(4, 6),
-        "y": np.array([-1, 1, 1, -1], dtype=np.int64),
-    }
-    with SharedArrays(arrays) as shared:
-        attached = AttachedArrays(shared.wire_specs())
-        try:
-            for key, arr in arrays.items():
-                view = attached.arrays[key]
-                np.testing.assert_array_equal(view, arr)
-                assert view.dtype == arr.dtype and view.shape == arr.shape
-        finally:
-            attached.close()
+def test_attached_views_are_read_only(monkeypatch):
+    seen = _spy_fit(monkeypatch)
+    _ensemble(workers=2)
+    assert len(seen) == 3
+    bins = seen[0][0]
+    assert all(b is bins for b, _ in seen), "members must share one bins matrix"
+    assert bins.dtype == np.uint8 and not bins.flags.writeable
+    with pytest.raises(ValueError):
+        bins[0, 0] = 1
+
+
+def test_no_residue_after_clean_pooled_fit(monkeypatch):
+    seen = _spy_fit(monkeypatch)
+    _ensemble(workers=2)
+    assert [during for _, during in seen] == [[]] * 3
     assert not residue()
 
 
-def test_attached_views_are_read_only():
-    with SharedArrays({"a": np.zeros(4, dtype=np.int32)}) as shared:
-        with AttachedArrays(shared.wire_specs()) as attached:
-            with pytest.raises(ValueError):
-                attached.arrays["a"][0] = 1
+def test_segments_unlinked_when_block_raises(monkeypatch):
+    """A member that raises fails the whole fit with its own exception, and
+    no pool thread outlives the call."""
 
-
-def test_segments_visible_then_unlinked_on_normal_exit():
-    assert not residue()
-    with SharedArrays({"a": np.arange(8)}):
-        assert len(residue()) == 1
-    assert not residue()
-
-
-def test_segments_unlinked_when_block_raises():
-    with pytest.raises(RuntimeError):
-        with SharedArrays({"a": np.arange(8)}):
-            assert residue()
+    def boom(model):
+        if model.seed == 7001:
             raise RuntimeError("boom")
+
+    _spy_fit(monkeypatch, before=boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        _ensemble(workers=2)
+    assert not [t for t in threading.enumerate() if t.name.startswith("train")]
     assert not residue()
 
 
-def test_segments_unlinked_on_keyboard_interrupt():
-    with pytest.raises(KeyboardInterrupt):
-        with SharedArrays({"a": np.arange(8)}):
-            assert residue()
-            raise KeyboardInterrupt
-    assert not residue()
-
-
-def test_close_is_idempotent():
-    shared = SharedArrays({"a": np.arange(8)})
-    shared.close()
-    shared.close()
-    assert not residue()
-
-
-# -- pool exit paths --------------------------------------------------------
-
-
-def test_no_residue_after_clean_pooled_fit():
-    _ensemble(workers=2, shm="on")
-    assert not residue()
-
-
-def test_worker_sigkill_degrades_with_warning_and_identical_model(
-    monkeypatch, caplog
-):
-    serial = _ensemble(workers=1)
-    monkeypatch.setenv("REPRO_TRAIN_POOL_KILL_MEMBER", "1")
-    # the repro telemetry root owns its own stderr handler and does not
-    # propagate; re-enable propagation so caplog can observe the WARNING
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-    with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="on")
-    assert any("train_pool.worker_lost" in r.getMessage() for r in caplog.records)
-    for a, b in zip(serial, pooled):
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-        assert a.history == b.history
-    assert not residue()
-
-
-def test_worker_exception_degrades_with_warning_and_identical_model(
-    monkeypatch, caplog
-):
-    serial = _ensemble(workers=1)
-    monkeypatch.setenv("REPRO_TRAIN_POOL_RAISE_MEMBER", "2")
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-    with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="on")
-    lost = [r for r in caplog.records if "train_pool.worker_lost" in r.getMessage()]
-    assert lost and "member=2" in lost[0].getMessage()
-    for a, b in zip(serial, pooled):
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-        assert a.history == b.history
-    assert not residue()
-
-
-def test_legacy_broadcast_transport_also_degrades(monkeypatch, caplog):
-    serial = _ensemble(workers=1)
-    monkeypatch.setenv("REPRO_TRAIN_POOL_KILL_MEMBER", "0")
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-    with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="off")
-    assert any("train_pool.worker_lost" in r.getMessage() for r in caplog.records)
-    for a, b in zip(serial, pooled):
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-    assert not residue()
-
-
-# -- warnings-as-errors: the resource tracker must stay silent --------------
+# -- warnings-as-errors: threads, ctypes and the native build stay silent ---
 
 _W_ERROR_SCRIPT = """
 import numpy as np
@@ -174,10 +112,10 @@ X = rng.normal(size=(120, 12))
 y = np.where(rng.random(120) > 0.5, 1, -1).astype(np.int64)
 members = train_ensemble(
     X, y, n_features=12, seeds=[1, 2, 3],
-    fit_kwargs={"epochs": 4}, workers=2, shm="on",
+    fit_kwargs={"epochs": 4}, workers=2,
 )
 assert len(members) == 3
-print("SHM_OK")
+print("POOL_OK")
 """
 
 
@@ -190,7 +128,6 @@ def test_pooled_shm_fit_is_warning_free_under_W_error():
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    assert "SHM_OK" in proc.stdout
-    assert "resource_tracker" not in proc.stderr
-    assert "leaked" not in proc.stderr
+    assert "POOL_OK" in proc.stdout
+    assert "Warning" not in proc.stderr
     assert not residue()
